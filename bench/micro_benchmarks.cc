@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for Thrifty's hot paths: the
 // level-set candidate evaluation that dominates tenant grouping, Algorithm 1
-// routing decisions, processor-sharing instance event handling, and epoch
-// discretization.
+// routing decisions, processor-sharing instance event handling, the
+// simulator's event queue, epoch discretization and RT-TTP monitoring.
 
 #include <benchmark/benchmark.h>
 
@@ -215,6 +215,36 @@ BENCHMARK(BM_InstanceChurn)
     ->Args({1, 64})
     ->Args({0, 256})
     ->Args({1, 256});
+
+void BM_EventQueueReschedule(benchmark::State& state) {
+  // The event-queue shape of MppdbInstance::RescheduleCompletion: k
+  // instances each hold one pending completion. Every op cancels one
+  // instance's completion and schedules a replacement (a submit), then
+  // fires the earliest event, whose owner re-arms (a completion). Stresses
+  // Cancel, slot re-use and stale-entry skipping at k live events.
+  const size_t k = static_cast<size_t>(state.range(0));
+  EventQueue queue;
+  std::vector<EventId> completion(k);
+  size_t fired_owner = 0;
+  SimTime now = 0;
+  Rng rng(23);
+  auto arm = [&](size_t i) {
+    completion[i] = queue.Schedule(now + rng.NextInt(1, 1000),
+                                   [&fired_owner, i](SimTime) {
+                                     fired_owner = i;
+                                   });
+  };
+  for (size_t i = 0; i < k; ++i) arm(i);
+  for (auto _ : state) {
+    size_t i = rng.NextBounded(k);
+    queue.Cancel(completion[i]);
+    arm(i);
+    queue.Pop(&now)(now);
+    arm(fired_owner);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueReschedule)->Arg(64)->Arg(1024);
 
 void BM_IntervalsToBitmap(benchmark::State& state) {
   Rng rng(13);

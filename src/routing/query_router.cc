@@ -5,22 +5,6 @@
 
 namespace thrifty {
 
-const char* RouteKindToString(RouteKind kind) {
-  switch (kind) {
-    case RouteKind::kTenantAffinity:
-      return "tenant-affinity";
-    case RouteKind::kTuningFree:
-      return "tuning-free";
-    case RouteKind::kOtherFree:
-      return "other-free";
-    case RouteKind::kOverflow:
-      return "overflow";
-    case RouteKind::kDedicated:
-      return "dedicated";
-  }
-  return "unknown";
-}
-
 GroupRouter::GroupRouter(GroupId group_id,
                          std::vector<MppdbInstance*> mppdbs)
     : group_id_(group_id), mppdbs_(std::move(mppdbs)) {

@@ -35,8 +35,6 @@ enum class RouteKind {
   kDedicated,
 };
 
-const char* RouteKindToString(RouteKind kind);
-
 /// \brief A routing decision.
 struct RouteDecision {
   MppdbInstance* instance = nullptr;

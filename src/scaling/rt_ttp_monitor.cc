@@ -23,7 +23,8 @@ void RtTtpMonitor::OnActiveCountChange(SimTime now, int count) {
     return;
   }
   if (!segments_.empty() && segments_.back().count == count) return;
-  segments_.push_back({now, count});
+  segments_.push_back(
+      {now, count, segments_.empty() ? 0 : AboveAt(segments_.back(), now)});
   Prune(now - window_);
 }
 
@@ -31,25 +32,21 @@ int RtTtpMonitor::current_count() const {
   return segments_.empty() ? 0 : segments_.back().count;
 }
 
-double RtTtpMonitor::FractionAbove(SimTime now, int threshold) const {
-  SimTime begin = now - window_;
-  if (now <= begin) return 0;
-  SimDuration above = 0;
-  // Sweep segments overlapping [begin, now). Time before the first segment
-  // counts as zero active tenants (never above a non-negative threshold).
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    SimTime seg_begin = std::max(segments_[i].since, begin);
-    SimTime seg_end =
-        i + 1 < segments_.size() ? segments_[i + 1].since : now;
-    seg_end = std::min(seg_end, now);
-    if (seg_end <= seg_begin) continue;
-    if (segments_[i].count > threshold) above += seg_end - seg_begin;
+SimDuration RtTtpMonitor::AboveUntil(SimTime t) const {
+  // Last segment starting at or before t; time before the first held
+  // segment adds nothing (pre-history counts as zero active tenants).
+  auto it = std::upper_bound(
+      segments_.begin(), segments_.end(), t,
+      [](SimTime value, const Segment& seg) { return value < seg.since; });
+  if (it == segments_.begin()) {
+    return segments_.empty() ? 0 : segments_.front().above_before;
   }
-  return static_cast<double>(above) / static_cast<double>(window_);
+  return AboveAt(*std::prev(it), t);
 }
 
 double RtTtpMonitor::RtTtp(SimTime now) const {
-  return 1.0 - FractionAbove(now, r_);
+  const SimDuration above = AboveUntil(now) - AboveUntil(now - window_);
+  return 1.0 - static_cast<double>(above) / static_cast<double>(window_);
 }
 
 void RtTtpMonitor::Prune(SimTime horizon) {

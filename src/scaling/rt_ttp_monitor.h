@@ -19,6 +19,12 @@ namespace thrifty {
 /// \brief Sliding-window RT-TTP of one tenant-group.
 ///
 /// Time before the first recorded change counts as zero active tenants.
+///
+/// Cost model: one segment per count change in the window, each carrying
+/// the time above R accumulated before it, so RtTtp is O(log n) (two binary
+/// searches: A(now) - A(now - window)) and OnActiveCountChange amortized
+/// O(1). The integer difference equals a sweep over the window's segments,
+/// so the result is bit-identical to one.
 class RtTtpMonitor {
  public:
   /// \param r replication factor (the count threshold).
@@ -40,15 +46,20 @@ class RtTtpMonitor {
   /// an empty window (now <= 0 history counts as inactive).
   double RtTtp(SimTime now) const;
 
-  /// \brief Fraction of [now - window, now) with count > threshold
-  /// (generalization used by tests and manual tuning).
-  double FractionAbove(SimTime now, int threshold) const;
-
  private:
   struct Segment {
     SimTime since;
     int count;
+    /// Time with count > r accumulated before `since`.
+    SimDuration above_before;
   };
+
+  /// \brief A(t): time with count > r up to `t`, flat before the first
+  /// held segment. AboveAt is A(t) for `t` within `seg`.
+  SimDuration AboveUntil(SimTime t) const;
+  SimDuration AboveAt(const Segment& seg, SimTime t) const {
+    return seg.above_before + (seg.count > r_ ? t - seg.since : 0);
+  }
 
   /// \brief Drops segments that ended before `horizon` (keeps the one
   /// straddling it).

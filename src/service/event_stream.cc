@@ -99,24 +99,6 @@ class Reader {
 
 }  // namespace
 
-const char* EventTypeToString(EventType type) {
-  switch (type) {
-    case EventType::kRegister:
-      return "register";
-    case EventType::kDeregister:
-      return "deregister";
-    case EventType::kActivityDrift:
-      return "activity-drift";
-    case EventType::kSlaReport:
-      return "sla-report";
-    case EventType::kGroupFailure:
-      return "group-failure";
-    case EventType::kCycleMark:
-      return "cycle-mark";
-  }
-  return "unknown";
-}
-
 TenantEvent MakeRegisterEvent(SimTime time, const TenantSpec& spec,
                               std::vector<QueryLogEntry> log_entries) {
   TenantEvent e;

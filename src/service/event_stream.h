@@ -51,8 +51,6 @@ enum class EventType : uint8_t {
   kCycleMark = 6,
 };
 
-const char* EventTypeToString(EventType type);
-
 /// \brief One event of the stream. Only the fields of the event's type are
 /// meaningful (and serialized); the rest stay default.
 struct TenantEvent {

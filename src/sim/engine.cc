@@ -16,15 +16,7 @@ EventId SimEngine::ScheduleAfter(SimDuration delay, EventCallback cb) {
   return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(cb));
 }
 
-bool SimEngine::Step() {
-  if (queue_.Empty()) return false;
-  SimTime t;
-  EventCallback cb = queue_.Pop(&t);
-  now_ = t;
-  ++events_processed_;
-  cb(t);
-  return true;
-}
+bool SimEngine::Step() { return FireNext(kNeverTime); }
 
 void SimEngine::Run() {
   while (Step()) {
@@ -32,10 +24,19 @@ void SimEngine::Run() {
 }
 
 void SimEngine::RunUntil(SimTime deadline) {
-  while (!queue_.Empty() && queue_.NextTime() <= deadline) {
-    Step();
+  while (FireNext(deadline)) {
   }
   if (now_ < deadline) now_ = deadline;
+}
+
+bool SimEngine::FireNext(SimTime deadline) {
+  SimTime t;
+  EventCallback cb;
+  if (!queue_.PopDue(deadline, &t, &cb)) return false;
+  now_ = t;
+  ++events_processed_;
+  cb(t);
+  return true;
 }
 
 }  // namespace thrifty

@@ -54,6 +54,9 @@ class SimEngine {
   SimCostGauge* cost_gauge() const { return cost_gauge_; }
 
  private:
+  /// \brief Fires the earliest event due by `deadline`, if any.
+  bool FireNext(SimTime deadline);
+
   SimTime now_ = 0;
   EventQueue queue_;
   size_t events_processed_ = 0;

@@ -7,66 +7,82 @@
 namespace thrifty {
 
 EventId EventQueue::Schedule(SimTime t, EventCallback cb) {
-  EventId id = next_id_++;
-  queue_.push(Entry{t, id, std::move(cb)});
-  pending_.insert(id);
-  return id;
+  uint32_t slot = static_cast<uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  s.live = true;
+  ++live_;
+  heap_.push_back(Entry{t, next_seq_++, slot, s.generation});
+  std::push_heap(heap_.begin(), heap_.end(), EntryLater{});
+  return (EventId{s.generation} << 32) | (slot + EventId{1});
 }
 
 void EventQueue::Cancel(EventId id) {
-  if (id == kInvalidEventId) return;
-  // Cancelling an id that already fired (or was already cancelled) is a
-  // no-op: only pending ids carry a tombstone, so repeated stale cancels
-  // cannot grow cancelled_.
-  if (pending_.erase(id) == 0) return;
-  cancelled_.insert(id);
-  CompactIfNeeded();
+  // The low half is slot + 1 (0 decodes to no slot); a stale id fails the
+  // generation check even after its slot was re-used.
+  const uint32_t low = static_cast<uint32_t>(id);
+  if (low == 0 || low > slots_.size()) return;
+  const Slot& s = slots_[low - 1];
+  if (!s.live || s.generation != static_cast<uint32_t>(id >> 32)) return;
+  Release(low - 1);
+  // Head-skipping alone reclaims a stale entry only when it surfaces, so a
+  // workload that keeps cancelling far-future events would grow the heap
+  // without bound. Rebuild once stale entries dominate; each entry is
+  // dropped at most once, so cancels stay amortized O(1).
+  if (CancelledCount() < 64 || CancelledCount() <= live_) return;
+  std::erase_if(heap_, [this](const Entry& e) { return IsStale(e); });
+  std::make_heap(heap_.begin(), heap_.end(), EntryLater{});
 }
 
-void EventQueue::SkipCancelled() const {
-  while (!queue_.empty()) {
-    auto it = cancelled_.find(queue_.top().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    queue_.pop();
+void EventQueue::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.cb = nullptr;
+  s.live = false;
+  ++s.generation;
+  free_slots_.push_back(slot);
+  --live_;
+}
+
+void EventQueue::SkipStale() const {
+  while (!heap_.empty() && IsStale(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
+    heap_.pop_back();
   }
 }
 
-void EventQueue::CompactIfNeeded() {
-  // Head-skipping alone reclaims a tombstone only when it surfaces, so a
-  // workload that keeps cancelling far-future events would grow both the
-  // heap and cancelled_ without bound. Rebuild once tombstones dominate;
-  // each entry is dropped at most once, so cancels stay amortized O(1).
-  if (cancelled_.size() < 64 || cancelled_.size() <= pending_.size()) return;
-  std::vector<Entry>& entries = queue_.entries();
-  std::erase_if(entries, [this](const Entry& entry) {
-    return cancelled_.count(entry.id) > 0;
-  });
-  std::make_heap(entries.begin(), entries.end(), EntryLater{});
-  cancelled_.clear();
-}
-
 bool EventQueue::Empty() const {
-  SkipCancelled();
-  return queue_.empty();
+  SkipStale();
+  return heap_.empty();
 }
 
 SimTime EventQueue::NextTime() const {
-  SkipCancelled();
-  return queue_.empty() ? kNeverTime : queue_.top().time;
+  SkipStale();
+  return heap_.empty() ? kNeverTime : heap_.front().time;
 }
 
 EventCallback EventQueue::Pop(SimTime* time) {
-  SkipCancelled();
-  assert(!queue_.empty());
-  // priority_queue::top() is const; the callback is moved out via const_cast,
-  // which is safe because the entry is popped immediately after.
-  Entry& top = const_cast<Entry&>(queue_.top());
-  *time = top.time;
-  EventCallback cb = std::move(top.cb);
-  pending_.erase(top.id);
-  queue_.pop();
+  EventCallback cb;
+  [[maybe_unused]] const bool popped = PopDue(kNeverTime, time, &cb);
+  assert(popped);
   return cb;
+}
+
+bool EventQueue::PopDue(SimTime deadline, SimTime* time, EventCallback* cb) {
+  SkipStale();
+  if (heap_.empty() || heap_.front().time > deadline) return false;
+  const Entry top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), EntryLater{});
+  heap_.pop_back();
+  *time = top.time;
+  *cb = std::move(slots_[top.slot].cb);
+  Release(top.slot);
+  return true;
 }
 
 }  // namespace thrifty

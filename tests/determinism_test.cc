@@ -97,18 +97,21 @@ TEST(DeterminismTest, EventQueueMatchesReferenceModel) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     EventQueue queue;
-    // Reference: map id -> (time, alive), fired order by (time, id).
+    // Reference: map id -> (time, schedule order, alive), fired order by
+    // (time, schedule order). Ids are opaque handles, not sequence numbers.
     struct Ref {
       SimTime time;
+      uint64_t seq;
       bool alive;
     };
     std::map<EventId, Ref> reference;
+    uint64_t next_seq = 0;
     for (int op = 0; op < 200; ++op) {
       double u = rng.NextDouble();
       if (u < 0.55) {
         SimTime t = rng.NextInt(0, 50);
         EventId id = queue.Schedule(t, [](SimTime) {});
-        reference[id] = {t, true};
+        reference[id] = {t, next_seq++, true};
       } else if (u < 0.75 && !reference.empty()) {
         // Cancel a random known id (possibly already fired/cancelled).
         auto it = reference.begin();
@@ -119,12 +122,13 @@ TEST(DeterminismTest, EventQueueMatchesReferenceModel) {
       } else if (!queue.Empty()) {
         SimTime t;
         queue.Pop(&t);
-        // Reference pop: earliest alive by (time, id).
+        // Reference pop: earliest alive by (time, schedule order).
         EventId best = 0;
         for (const auto& [id, ref] : reference) {
           if (!ref.alive) continue;
           if (best == 0 || ref.time < reference[best].time ||
-              (ref.time == reference[best].time && id < best)) {
+              (ref.time == reference[best].time &&
+               ref.seq < reference[best].seq)) {
             best = id;
           }
         }

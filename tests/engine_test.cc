@@ -1,9 +1,15 @@
 #include "sim/engine.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 
 namespace thrifty {
@@ -148,6 +154,150 @@ TEST(EventQueueTest, NextTimeReflectsHead) {
   EXPECT_EQ(q.NextTime(), 50);
   q.Cancel(id);
   EXPECT_EQ(q.NextTime(), 70);
+}
+
+TEST(EventQueueTest, StaleIdDoesNotCancelSlotReuser) {
+  // ABA: a fired event's slot is re-used by the next schedule; cancelling
+  // the fired id must not cancel the new occupant.
+  EventQueue q;
+  std::vector<int> fired;
+  EventId first = q.Schedule(10, [&](SimTime) { fired.push_back(1); });
+  SimTime t;
+  q.Pop(&t)(t);
+  EventId second = q.Schedule(20, [&](SimTime) { fired.push_back(2); });
+  EXPECT_NE(first, second);
+  EXPECT_EQ(static_cast<uint32_t>(first), static_cast<uint32_t>(second))
+      << "the second event should re-use the first one's slot";
+  q.Cancel(first);
+  EXPECT_EQ(q.LiveCount(), 1u);
+  EXPECT_EQ(q.CancelledCount(), 0u);
+  q.Pop(&t)(t);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+
+  // Same for an id that was cancelled rather than fired.
+  EventId doomed = q.Schedule(30, [&](SimTime) { fired.push_back(3); });
+  q.Cancel(doomed);
+  EventId reuser = q.Schedule(40, [&](SimTime) { fired.push_back(4); });
+  q.Cancel(doomed);
+  EXPECT_EQ(q.LiveCount(), 1u);
+  q.Pop(&t)(t);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 4}));
+  q.Cancel(reuser);  // fired: no-op
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, CancelAfterCompaction) {
+  EventQueue q;
+  std::vector<int> fired;
+  EventId keeper = q.Schedule(5, [&](SimTime) { fired.push_back(0); });
+  q.Schedule(7, [&](SimTime) { fired.push_back(1); });
+  std::vector<EventId> doomed;
+  for (int i = 0; i < 200; ++i) {
+    doomed.push_back(q.Schedule(100 + i, [](SimTime) {}));
+  }
+  for (EventId id : doomed) q.Cancel(id);
+  // The compaction rule ran: stale entries never exceed max(63, live).
+  EXPECT_LE(q.CancelledCount(), 63u);
+  EXPECT_EQ(q.LiveCount(), 2u);
+  // Ids issued before the compaction still cancel exactly their event, and
+  // re-cancelling compacted-away ids stays a no-op.
+  q.Cancel(keeper);
+  for (EventId id : doomed) q.Cancel(id);
+  EXPECT_EQ(q.LiveCount(), 1u);
+  EXPECT_EQ(q.NextTime(), 7);
+  SimTime t;
+  q.Pop(&t)(t);
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.CancelledCount(), 0u);
+}
+
+TEST(EventQueueTest, InvalidAndOutOfRangeIdsAreNoops) {
+  EventQueue q;
+  EventId live = q.Schedule(10, [](SimTime) {});
+  for (EventId id : {kInvalidEventId, EventId{1} << 32, EventId{12345},
+                     (EventId{7} << 32) | 1, ~EventId{0}}) {
+    if (id == live) continue;
+    q.Cancel(id);
+  }
+  EXPECT_EQ(q.LiveCount(), 1u);
+  EXPECT_EQ(q.CancelledCount(), 0u);
+  EXPECT_EQ(q.NextTime(), 10);
+}
+
+// One randomized schedule/cancel/pop script, fully determined by its case
+// id (replay a failure by calling RunQueueCase(id) alone), checked against
+// a std::map keyed by (time, schedule sequence).
+void RunQueueCase(int id) {
+  SCOPED_TRACE("case " + std::to_string(id));
+  Rng rng(0xe7e47000u + static_cast<uint64_t>(id));
+  EventQueue q;
+  std::map<std::pair<SimTime, uint64_t>, EventId> reference;
+  std::vector<EventId> gone;  // fired or cancelled ids
+  std::vector<uint64_t> fired;
+  uint64_t seq = 0;
+  size_t peak_live = 0;
+  const SimTime horizon = rng.NextInt(1, 200);  // small: many equal times
+  const int ops = static_cast<int>(rng.NextInt(1, 600));
+  for (int op = 0; op < ops; ++op) {
+    const double u = rng.NextDouble();
+    if (u < 0.45) {
+      SimTime t = rng.NextInt(0, horizon);
+      uint64_t tag = seq++;
+      EventId eid = q.Schedule(t, [&fired, tag](SimTime) {
+        fired.push_back(tag);
+      });
+      ASSERT_NE(eid, kInvalidEventId);
+      reference[{t, tag}] = eid;
+    } else if (u < 0.65 && !reference.empty()) {
+      auto it = reference.begin();
+      std::advance(it, static_cast<long>(rng.NextBounded(reference.size())));
+      q.Cancel(it->second);
+      gone.push_back(it->second);
+      reference.erase(it);
+      EXPECT_LE(q.CancelledCount(), std::max<size_t>(63, q.LiveCount()));
+    } else if (u < 0.75 && !gone.empty()) {
+      q.Cancel(gone[rng.NextBounded(gone.size())]);  // stale: no-op
+    } else {
+      SimTime deadline = rng.NextBool(0.5) ? kNeverTime
+                                           : rng.NextInt(0, horizon);
+      const bool due =
+          !reference.empty() && reference.begin()->first.first <= deadline;
+      EXPECT_EQ(q.NextTime(), reference.empty()
+                                  ? kNeverTime
+                                  : reference.begin()->first.first);
+      SimTime t = -1;
+      EventCallback cb;
+      ASSERT_EQ(q.PopDue(deadline, &t, &cb), due) << "op " << op;
+      if (due) {
+        auto [key, eid] = *reference.begin();
+        ASSERT_EQ(t, key.first) << "op " << op;
+        cb(t);
+        ASSERT_EQ(fired.back(), key.second) << "op " << op;
+        gone.push_back(eid);
+        reference.erase(reference.begin());
+      }
+    }
+    peak_live = std::max(peak_live, reference.size());
+    ASSERT_EQ(q.LiveCount(), reference.size()) << "op " << op;
+    ASSERT_LE(q.CancelledCount(), std::max<size_t>(64, peak_live));
+  }
+  // Drain: the remaining events fire in (time, sequence) order.
+  while (!q.Empty()) {
+    SimTime t;
+    q.Pop(&t)(t);
+    ASSERT_FALSE(reference.empty());
+    ASSERT_EQ(t, reference.begin()->first.first);
+    ASSERT_EQ(fired.back(), reference.begin()->first.second);
+    reference.erase(reference.begin());
+  }
+  EXPECT_TRUE(reference.empty());
+  EXPECT_EQ(q.LiveCount(), 0u);
+  EXPECT_EQ(q.CancelledCount(), 0u);
+}
+
+TEST(EventQueueTest, MatchesOrderedMapModel) {
+  for (int id = 0; id < 400; ++id) RunQueueCase(id);
 }
 
 TEST(SimEngineTest, ClockAdvancesToEventTimes) {

@@ -24,8 +24,7 @@
 // tier-1 configuration), --tenants=N[,N...] (explicit point list),
 // --flat-max-tenants=N (default 10000; 0 disables the flat baseline),
 // --expect-plan=<16 hex> (pins the first point's plan fingerprint; CI uses
-// one constant across the AVX2 and forced-scalar legs to prove the plan is
-// identical on both dispatch targets).
+// it to catch solver-output drift).
 
 #include <cctype>
 #include <chrono>

@@ -64,9 +64,9 @@ void BM_LevelSetAddRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_LevelSetAddRemove)->Arg(120'000);
 
-// SIMD kernel primitives (common/simd.h) at the span lengths the level-set
-// argmin streams. Labels report the resolved dispatch target; run with
-// THRIFTY_FORCE_SCALAR=1 to benchmark the scalar reference instead.
+// Span kernels (common/simd.h) at the span lengths the level-set argmin
+// streams. Labels report the popcount the build compiled to ("popcnt" or
+// "scalar").
 void BM_SpanPopcount(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto w = RandomWords(n, 21);

@@ -117,13 +117,20 @@ void GroupLevelSet::BuildPlan(const ActivityVector& v, EvalScratch* scratch,
   const size_t W = widx.size();
   const size_t L = pops_.size();
 
-  // One capacity reservation covers every Alloc of this candidate's cycle
-  // (temporaries, sorted arrays, and the worst-case lazily gathered rows —
-  // bounded by the whole column arena), so spans handed out below are
-  // never invalidated by growth.
+  // One capacity reservation covers every Alloc of this candidate's cycle,
+  // so spans handed out below are never invalidated by growth (EvalArena's
+  // backstop Grow would free the block they point into). In 8-byte words,
+  // with n <= W matched columns and maxh <= L:
+  //   tmp_h, tmp_start   2 * ceil(W/2)        <= W + 1
+  //   tmp_cw, outside    2 * W
+  //   cnt, off           ceil((maxh+2)/2) + ceil((maxh+1)/2) <= maxh + 2
+  //   cw, cstart         n + ceil(n/2)        <= 1.5 * W + 1
+  //   rows               maxh + 1
+  //   gathered rows      sum of matched heights <= arena_.size()
+  // for a total of at most 4.5 * W + 2 * L + 5 + arena_.size().
   EvalArena& arena = scratch->arena;
   arena.Reset();
-  arena.Reserve(4 * W + 2 * (L + 2) + arena_.size() + 16);
+  arena.Reserve(5 * W + 2 * L + 5 + arena_.size());
 
   // Pass 1: two-pointer merge of the candidate's nonzero words with the
   // touched index, in word order. Matches stage their (height, start,

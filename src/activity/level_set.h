@@ -87,7 +87,7 @@ class GroupLevelSet {
   /// evaluation: the would-be popcount vector plus a bump-pointer arena
   /// holding the per-candidate evaluation plan (the candidate/touched
   /// intersection in height-sorted order and the lazily gathered level
-  /// rows the SIMD kernels consume — see EvalCore in level_set.cc). One
+  /// rows the span kernels consume — see EvalCore in level_set.cc). One
   /// instance per scanning thread; the arena is Reset() per candidate and
   /// retains its block, so the argmin inner loop performs no heap
   /// allocation and its working set stays cache-resident.
@@ -155,7 +155,7 @@ class GroupLevelSet {
   /// The per-candidate evaluation plan: the candidate/touched column
   /// intersection sorted by stored height (descending), so each level's
   /// participating columns form a prefix, plus the lazily gathered
-  /// contiguous level rows the SIMD kernels run over. All arrays live in
+  /// contiguous level rows the span kernels run over. All arrays live in
   /// the scratch arena. Defined in level_set.cc.
   struct EvalPlan;
 
@@ -168,7 +168,7 @@ class GroupLevelSet {
 
   /// Shared body of EvaluateAddInto / EvaluateAddCompare: computes the
   /// would-be level popcounts top-down into scratch->pops (level rows
-  /// gathered lazily, bodies run through the simd:: kernels). With a
+  /// gathered lazily, bodies run as span loops from common/simd.h). With a
   /// non-null `incumbent` it additionally compares exact-level counts
   /// under the Fig 5.3 total order, returning +1 as soon as a level is
   /// strictly worse (pops left incomplete) and -1/0 otherwise; with a null

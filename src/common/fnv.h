@@ -3,7 +3,7 @@
 // The one fingerprint function used everywhere byte-identity is asserted:
 // bench result tables, deployment-plan membership streams, event logs, and
 // controller trajectories all hash through this so fingerprints recorded in
-// results/BENCH_*.json are comparable across binaries and dispatch targets.
+// results/BENCH_*.json are comparable across binaries and machines.
 
 #ifndef THRIFTY_COMMON_FNV_H_
 #define THRIFTY_COMMON_FNV_H_

@@ -1,11 +1,10 @@
-// Portable SIMD kernel layer for the word-wise hot loops.
+// Span kernels for the word-wise hot loops.
 //
 // Every solve-bound inner loop in this codebase has the same shape: a scan
 // over spans of 64-bit activity words combining bitwise algebra with
 // popcounts (the Fig 5.3 candidate argmin, DynamicBitmap span popcounts,
 // activity OR-reductions). This header exposes those scans as a small set
-// of kernel primitives with three implementations — AVX2, NEON, and a
-// scalar reference — selected once at startup by runtime CPU detection:
+// of inline loops, one implementation each:
 //
 //   * SpanPopcount        — popcount over a word span.
 //   * AndPopcount         — fused AND + popcount over two parallel spans.
@@ -23,19 +22,11 @@
 //                           contiguous column of level words, writing the
 //                           new column and the per-level popcount deltas.
 //
-// Correctness contract: every implementation computes bit-identical integer
-// results to the scalar reference for every input (these are pure integer
-// kernels — there is no floating point anywhere), so swapping dispatch
-// targets can never change a solver fingerprint. tests/simd_kernel_test.cc
-// proves this with randomized replayable cases per primitive.
-//
-// Dispatch control:
-//   * runtime: set THRIFTY_FORCE_SCALAR=1 in the environment to pin the
-//     scalar reference regardless of CPU support (read once, at first use).
-//   * compile time: configure with -DTHRIFTY_FORCE_SCALAR=ON to compile the
-//     vector paths out entirely.
-//   * tests: SetSimdTargetForTest overrides dispatch in-process (never
-//     upward — a target the CPU lacks is clamped to scalar).
+// The library is built with hardware POPCNT on x86-64 (-mpopcnt, see
+// src/CMakeLists.txt), so each std::popcount below is one instruction.
+// Each kernel has this one implementation: hand-vectorized AVX2 copies
+// measured no end-to-end gain over that baseline (EXPERIMENTS.md, "SIMD
+// kernels").
 
 #ifndef THRIFTY_COMMON_SIMD_H_
 #define THRIFTY_COMMON_SIMD_H_
@@ -47,131 +38,61 @@
 namespace thrifty {
 namespace simd {
 
-/// \brief Instruction-set target the kernel dispatch resolved to.
-enum class Target {
-  kScalar,
-  kAvx2,
-  kNeon,
-};
-
-/// \brief The active dispatch target (CPU detection + THRIFTY_FORCE_SCALAR,
-/// resolved once).
-Target ActiveTarget();
-
-/// \brief Lower-case name of the active target: "avx2", "neon", "scalar".
-const char* TargetName();
-
-/// \brief Name of `target`.
-const char* TargetName(Target target);
-
-/// \brief True if the running CPU (and build) can execute `target`.
-bool TargetSupported(Target target);
-
-/// \brief Overrides dispatch for tests/benches. Unsupported targets clamp
-/// to scalar; returns the target actually installed. Not thread-safe —
-/// call only from single-threaded test/bench setup.
-Target SetSimdTargetForTest(Target target);
-
-// --- Scalar reference implementations (always available) ---------------
-// These are the semantics; the vector paths must match them bit-for-bit.
-
-size_t ScalarSpanPopcount(const uint64_t* w, size_t n);
-size_t ScalarAndPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t ScalarOrReduce(uint64_t* dst, const uint64_t* src, size_t n);
-size_t ScalarOrPopcountDelta(const uint64_t* old_w, const uint64_t* cand,
-                             size_t n);
-size_t ScalarOrAndPopcountDelta(const uint64_t* old_w, const uint64_t* below,
-                                const uint64_t* cand, size_t n);
-void ScalarOrAndBcastStoreDelta(const uint64_t* old_w, const uint64_t* below,
-                                uint64_t cand, uint64_t* out, size_t* delta,
-                                size_t n);
-void ScalarAndNotBcastStoreDelta(const uint64_t* old_w, const uint64_t* above,
-                                 uint64_t cand, uint64_t* out, size_t* delta,
-                                 size_t n);
-
-// --- Dispatched kernels -------------------------------------------------
-
-struct Kernels {
-  size_t (*span_popcount)(const uint64_t*, size_t);
-  size_t (*and_popcount)(const uint64_t*, const uint64_t*, size_t);
-  uint64_t (*or_reduce)(uint64_t*, const uint64_t*, size_t);
-  size_t (*or_popcount_delta)(const uint64_t*, const uint64_t*, size_t);
-  size_t (*or_and_popcount_delta)(const uint64_t*, const uint64_t*,
-                                  const uint64_t*, size_t);
-  void (*or_and_bcast_store_delta)(const uint64_t*, const uint64_t*, uint64_t,
-                                   uint64_t*, size_t*, size_t);
-  void (*and_not_bcast_store_delta)(const uint64_t*, const uint64_t*,
-                                    uint64_t, uint64_t*, size_t*, size_t);
-};
-
-/// \brief The active kernel table (initialized on first use).
-const Kernels& ActiveKernels();
-
-/// \brief Spans shorter than this run the inline scalar body below instead
-/// of paying the dispatch indirection; identical results either way (the
-/// vector paths are bit-exact against scalar).
-constexpr size_t kInlineSpanWords = 8;
+/// \brief The popcount the kernels compile to: "popcnt" (hardware
+/// instruction) or "scalar" (the compiler's bit-twiddling fallback).
+inline const char* TargetName() {
+#if defined(__POPCNT__)
+  return "popcnt";
+#else
+  return "scalar";
+#endif
+}
 
 /// \brief Popcount over `n` words.
 inline size_t SpanPopcount(const uint64_t* w, size_t n) {
-  if (n < kInlineSpanWords) {
-    size_t total = 0;
-    for (size_t i = 0; i < n; ++i) total += std::popcount(w[i]);
-    return total;
-  }
-  return ActiveKernels().span_popcount(w, n);
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) total += std::popcount(w[i]);
+  return total;
 }
 
 /// \brief Popcount of a[i] & b[i] over `n` parallel words.
 inline size_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
-  if (n < kInlineSpanWords) {
-    size_t total = 0;
-    for (size_t i = 0; i < n; ++i) total += std::popcount(a[i] & b[i]);
-    return total;
-  }
-  return ActiveKernels().and_popcount(a, b, n);
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) total += std::popcount(a[i] & b[i]);
+  return total;
 }
 
 /// \brief dst[i] |= src[i] over `n` words; returns the OR of all result
 /// words (nonzero ⇔ at least one set bit anywhere in dst afterwards).
 inline uint64_t OrReduce(uint64_t* dst, const uint64_t* src, size_t n) {
-  if (n < kInlineSpanWords) {
-    uint64_t any = 0;
-    for (size_t i = 0; i < n; ++i) {
-      dst[i] |= src[i];
-      any |= dst[i];
-    }
-    return any;
+  uint64_t any = 0;
+  for (size_t i = 0; i < n; ++i) {
+    dst[i] |= src[i];
+    any |= dst[i];
   }
-  return ActiveKernels().or_reduce(dst, src, n);
+  return any;
 }
 
 /// \brief Σ pop(old|cand) − Σ pop(old) over `n` parallel words: how many
 /// zero bits of `old` the candidate lifts (the L_0 ≡ all-ones level body).
 inline size_t OrPopcountDelta(const uint64_t* old_w, const uint64_t* cand,
                               size_t n) {
-  if (n < kInlineSpanWords) {
-    size_t total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      total += std::popcount(cand[i] & ~old_w[i]);
-    }
-    return total;
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    total += std::popcount(cand[i] & ~old_w[i]);
   }
-  return ActiveKernels().or_popcount_delta(old_w, cand, n);
+  return total;
 }
 
 /// \brief Σ pop(old|(below&cand)) − Σ pop(old) over `n` parallel words: the
 /// level-m argmin body, L'_m = L_m | (L_{m-1} & C).
 inline size_t OrAndPopcountDelta(const uint64_t* old_w, const uint64_t* below,
                                  const uint64_t* cand, size_t n) {
-  if (n < kInlineSpanWords) {
-    size_t total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      total += std::popcount((below[i] & cand[i]) & ~old_w[i]);
-    }
-    return total;
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    total += std::popcount((below[i] & cand[i]) & ~old_w[i]);
   }
-  return ActiveKernels().or_and_popcount_delta(old_w, below, cand, n);
+  return total;
 }
 
 /// \brief Column-rebuild body of GroupLevelSet::Add with the candidate word
@@ -180,15 +101,11 @@ inline size_t OrAndPopcountDelta(const uint64_t* old_w, const uint64_t* below,
 inline void OrAndBcastStoreDelta(const uint64_t* old_w, const uint64_t* below,
                                  uint64_t cand, uint64_t* out, size_t* delta,
                                  size_t n) {
-  if (n < kInlineSpanWords) {
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t lifted = (below[i] & cand) & ~old_w[i];
-      out[i] = old_w[i] | lifted;
-      delta[i] += static_cast<size_t>(std::popcount(lifted));
-    }
-    return;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t lifted = (below[i] & cand) & ~old_w[i];
+    out[i] = old_w[i] | lifted;
+    delta[i] += static_cast<size_t>(std::popcount(lifted));
   }
-  ActiveKernels().or_and_bcast_store_delta(old_w, below, cand, out, delta, n);
 }
 
 /// \brief Column-rebuild body of GroupLevelSet::Remove with the candidate
@@ -197,16 +114,11 @@ inline void OrAndBcastStoreDelta(const uint64_t* old_w, const uint64_t* below,
 inline void AndNotBcastStoreDelta(const uint64_t* old_w,
                                   const uint64_t* above, uint64_t cand,
                                   uint64_t* out, size_t* delta, size_t n) {
-  if (n < kInlineSpanWords) {
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t dropped = (old_w[i] & cand) & ~above[i];
-      out[i] = old_w[i] & ~dropped;
-      delta[i] += static_cast<size_t>(std::popcount(dropped));
-    }
-    return;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t dropped = (old_w[i] & cand) & ~above[i];
+    out[i] = old_w[i] & ~dropped;
+    delta[i] += static_cast<size_t>(std::popcount(dropped));
   }
-  ActiveKernels().and_not_bcast_store_delta(old_w, above, cand, out, delta,
-                                            n);
 }
 
 }  // namespace simd
@@ -218,9 +130,9 @@ inline void AndNotBcastStoreDelta(const uint64_t* old_w,
 /// index, height-sorted views, lazily gathered level rows) out of one
 /// contiguous block, so the argmin inner loop performs no heap allocation
 /// and its whole working set stays cache-resident. Reserve() must be called
-/// with an upper bound before the per-candidate Alloc()s — the block never
-/// grows between Reset()s, which is what keeps previously returned spans
-/// stable.
+/// with a true upper bound before the per-candidate Alloc()s: the block
+/// must not grow between Reset()s, because growing moves it and leaves
+/// every previously returned span dangling.
 class EvalArena {
  public:
   /// \brief Ensures capacity for `words` 8-byte units. Invalidates
@@ -238,9 +150,11 @@ class EvalArena {
   T* Alloc(size_t count) {
     static_assert(alignof(T) <= alignof(uint64_t));
     size_t words = (count * sizeof(T) + 7) / 8;
-    // Callers pre-Reserve; this is the backstop that keeps Alloc safe if a
-    // bound was computed too tightly (it invalidates nothing already
-    // handed out only because Grow copies the live prefix).
+    // Callers pre-Reserve; this backstop only keeps Alloc itself from
+    // overrunning the block when a bound was computed too tightly. Grow
+    // copies the live prefix into a new block and frees the old one, so
+    // every span handed out earlier in the cycle dangles afterwards: an
+    // undersized Reserve is a use-after-free, not a slowdown.
     if (used_ + words > capacity_) Grow((used_ + words) * 2);
     T* out = reinterpret_cast<T*>(block_ + used_);
     used_ += words;

@@ -9,7 +9,7 @@
 //
 //   1. *Shard*: tenants are clustered by a coarse, deterministic activity
 //      fingerprint — per-band popcounts of the ActivityVector's epoch words
-//      (computed with the simd:: span-popcount kernels), quantized to a
+//      (computed with simd::SpanPopcount), quantized to a
 //      128-bit signature — so tenants with overlapping active phases land
 //      in the same shard, then the signature-sorted order is chopped into
 //      logical shards of ~shard_tenant_target tenants.

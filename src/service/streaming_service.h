@@ -15,9 +15,8 @@
 // recorded, replaying the log re-runs every cycle without consulting any
 // clock. Replaying the same log therefore yields byte-identical cycle
 // decisions (DecisionFingerprint), plan fingerprints (PlanFingerprint),
-// and controller trajectories at any AdvisorOptions::solver_jobs and under
-// SIMD or forced-scalar dispatch, and the replayed service re-encodes a
-// byte-identical event log.
+// and controller trajectories at any AdvisorOptions::solver_jobs, and the
+// replayed service re-encodes a byte-identical event log.
 
 #ifndef THRIFTY_SERVICE_STREAMING_SERVICE_H_
 #define THRIFTY_SERVICE_STREAMING_SERVICE_H_

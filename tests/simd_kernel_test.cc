@@ -1,5 +1,6 @@
-// SIMD kernel correctness: every dispatched primitive must be bit-identical
-// to its scalar reference on every input. Cases are randomized but id-keyed
+// Span-kernel correctness: every primitive in common/simd.h must equal a
+// per-bit oracle written here, which tests one bit at a time and shares no
+// code with the word-wise loops it checks. Cases are randomized but id-keyed
 // — each case derives its inputs from Rng(kSuiteSeed).Fork(case_id), so a
 // failure report's case_id replays the exact inputs in isolation.
 
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "activity/activity_vector.h"
+#include "activity/level_set.h"
 #include "common/rng.h"
 
 namespace thrifty {
@@ -21,8 +24,8 @@ constexpr uint64_t kSuiteSeed = 0x51D0CAFE;
 constexpr int kRandomCases = 400;
 
 // Case inputs: span length, word patterns, and an intra-allocation offset so
-// unaligned starts (spans rarely begin on a 32-byte boundary in the ragged
-// arena) are exercised too.
+// starts that are not cache-line aligned (spans in the ragged level arena
+// rarely are) are exercised too.
 struct KernelCase {
   size_t n = 0;
   size_t offset = 0;  // words of padding before the span start
@@ -49,14 +52,14 @@ uint64_t RandomWord(Rng* rng) {
 KernelCase MakeCase(uint64_t case_id) {
   Rng rng = Rng(kSuiteSeed).Fork(case_id);
   KernelCase kc;
-  // Lengths cluster around the vector-width boundaries (0..4 words, one
-  // AVX2 register, the 8-word unroll, and past it) plus a long tail.
+  // Lengths cluster around short spans (the level columns and per-level
+  // prefixes the argmin streams are mostly a few words) plus a long tail.
   switch (rng.NextBounded(4)) {
     case 0:
-      kc.n = rng.NextBounded(9);  // 0..8: inline scalar + boundary
+      kc.n = rng.NextBounded(9);  // 0..8: short spans, including empty
       break;
     case 1:
-      kc.n = 8 + rng.NextBounded(9);  // 8..16: one or two unroll blocks
+      kc.n = 8 + rng.NextBounded(9);  // 8..16
       break;
     case 2:
       kc.n = rng.NextBounded(130);  // word-boundary straddles
@@ -77,62 +80,106 @@ KernelCase MakeCase(uint64_t case_id) {
   return kc;
 }
 
-// The non-scalar target this machine can run, if any.
-bool VectorTarget(simd::Target* out) {
-  for (simd::Target t : {simd::Target::kAvx2, simd::Target::kNeon}) {
-    if (simd::TargetSupported(t)) {
-      *out = t;
-      return true;
-    }
+// --- Per-bit oracle --------------------------------------------------------
+
+bool Bit(uint64_t w, int b) { return ((w >> b) & 1) != 0; }
+
+size_t OracleSpanPopcount(const uint64_t* w, size_t n) {
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (int b = 0; b < 64; ++b) total += Bit(w[i], b);
   }
-  return false;
+  return total;
 }
 
-// Runs `check` under the vector target (when supported); restores dispatch.
-// The wrappers in simd.h route short spans to an inline scalar body, so the
-// checks below call through ActiveKernels() directly to hit the vector code
-// even at tiny n.
-class SimdKernelTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_ = simd::ActiveTarget();
-    has_vector_ = VectorTarget(&vector_target_);
+size_t OracleAndPopcount(const uint64_t* a, const uint64_t* c, size_t n) {
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (int b = 0; b < 64; ++b) total += Bit(a[i], b) && Bit(c[i], b);
   }
-  void TearDown() override { simd::SetSimdTargetForTest(saved_); }
+  return total;
+}
 
-  simd::Target saved_ = simd::Target::kScalar;
-  simd::Target vector_target_ = simd::Target::kScalar;
-  bool has_vector_ = false;
-};
+// dst |= src bit by bit; returns the OR of all result words.
+uint64_t OracleOrReduce(uint64_t* dst, const uint64_t* src, size_t n) {
+  uint64_t any = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (int b = 0; b < 64; ++b) {
+      if (Bit(src[i], b)) dst[i] |= uint64_t{1} << b;
+      if (Bit(dst[i], b)) any |= uint64_t{1} << b;
+    }
+  }
+  return any;
+}
 
-TEST_F(SimdKernelTest, SpanPopcountMatchesScalar) {
-  if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
-  simd::SetSimdTargetForTest(vector_target_);
+// Bits the join L' = L | (below & C) sets that L lacked; a null `below` is
+// the all-ones L_0.
+size_t OracleOrAndPopcountDelta(const uint64_t* old_w, const uint64_t* below,
+                                const uint64_t* cand, size_t n) {
+  size_t total = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (int b = 0; b < 64; ++b) {
+      bool joined = (below == nullptr || Bit(below[i], b)) && Bit(cand[i], b);
+      total += !Bit(old_w[i], b) && joined;
+    }
+  }
+  return total;
+}
+
+// Level-column rebuild of Add: level i gains the bits where the level below
+// and the broadcast candidate are both set.
+void OracleOrAndBcastStoreDelta(const uint64_t* old_w, const uint64_t* below,
+                                uint64_t cand, uint64_t* out, size_t* delta,
+                                size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = 0;
+    for (int b = 0; b < 64; ++b) {
+      bool was = Bit(old_w[i], b);
+      bool now = was || (Bit(below[i], b) && Bit(cand, b));
+      if (now) out[i] |= uint64_t{1} << b;
+      delta[i] += now && !was;
+    }
+  }
+}
+
+// Level-column rebuild of Remove: level i loses the bits where the
+// candidate was active and the level above was not set.
+void OracleAndNotBcastStoreDelta(const uint64_t* old_w, const uint64_t* above,
+                                 uint64_t cand, uint64_t* out, size_t* delta,
+                                 size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = 0;
+    for (int b = 0; b < 64; ++b) {
+      bool was = Bit(old_w[i], b);
+      bool now = was && !(Bit(cand, b) && !Bit(above[i], b));
+      if (now) out[i] |= uint64_t{1} << b;
+      delta[i] += was && !now;
+    }
+  }
+}
+
+// --- Randomized: public kernel == per-bit scalar oracle ------------------
+
+TEST(SimdKernelTest, SpanPopcountMatchesScalar) {
   for (int id = 0; id < kRandomCases; ++id) {
     KernelCase kc = MakeCase(1000 + id);
     const uint64_t* a = kc.a.data() + kc.offset;
-    EXPECT_EQ(simd::ActiveKernels().span_popcount(a, kc.n),
-              simd::ScalarSpanPopcount(a, kc.n))
+    EXPECT_EQ(simd::SpanPopcount(a, kc.n), OracleSpanPopcount(a, kc.n))
         << "case_id=" << 1000 + id;
   }
 }
 
-TEST_F(SimdKernelTest, AndPopcountMatchesScalar) {
-  if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
-  simd::SetSimdTargetForTest(vector_target_);
+TEST(SimdKernelTest, AndPopcountMatchesScalar) {
   for (int id = 0; id < kRandomCases; ++id) {
     KernelCase kc = MakeCase(2000 + id);
     const uint64_t* a = kc.a.data() + kc.offset;
     const uint64_t* b = kc.b.data() + kc.offset;
-    EXPECT_EQ(simd::ActiveKernels().and_popcount(a, b, kc.n),
-              simd::ScalarAndPopcount(a, b, kc.n))
+    EXPECT_EQ(simd::AndPopcount(a, b, kc.n), OracleAndPopcount(a, b, kc.n))
         << "case_id=" << 2000 + id;
   }
 }
 
-TEST_F(SimdKernelTest, OrReduceMatchesScalar) {
-  if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
-  simd::SetSimdTargetForTest(vector_target_);
+TEST(SimdKernelTest, OrReduceMatchesScalar) {
   for (int id = 0; id < kRandomCases; ++id) {
     KernelCase kc = MakeCase(3000 + id);
     std::vector<uint64_t> dst_vec = kc.a;
@@ -140,43 +187,37 @@ TEST_F(SimdKernelTest, OrReduceMatchesScalar) {
     uint64_t* dst = dst_vec.data() + kc.offset;
     uint64_t* ref = ref_vec.data() + kc.offset;
     const uint64_t* src = kc.b.data() + kc.offset;
-    uint64_t got = simd::ActiveKernels().or_reduce(dst, src, kc.n);
-    uint64_t want = simd::ScalarOrReduce(ref, src, kc.n);
+    uint64_t got = simd::OrReduce(dst, src, kc.n);
+    uint64_t want = OracleOrReduce(ref, src, kc.n);
     EXPECT_EQ(got, want) << "case_id=" << 3000 + id;
     EXPECT_EQ(dst_vec, ref_vec) << "case_id=" << 3000 + id;
   }
 }
 
-TEST_F(SimdKernelTest, OrPopcountDeltaMatchesScalar) {
-  if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
-  simd::SetSimdTargetForTest(vector_target_);
+TEST(SimdKernelTest, OrPopcountDeltaMatchesScalar) {
   for (int id = 0; id < kRandomCases; ++id) {
     KernelCase kc = MakeCase(4000 + id);
     const uint64_t* a = kc.a.data() + kc.offset;
     const uint64_t* c = kc.c.data() + kc.offset;
-    EXPECT_EQ(simd::ActiveKernels().or_popcount_delta(a, c, kc.n),
-              simd::ScalarOrPopcountDelta(a, c, kc.n))
+    EXPECT_EQ(simd::OrPopcountDelta(a, c, kc.n),
+              OracleOrAndPopcountDelta(a, nullptr, c, kc.n))
         << "case_id=" << 4000 + id;
   }
 }
 
-TEST_F(SimdKernelTest, OrAndPopcountDeltaMatchesScalar) {
-  if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
-  simd::SetSimdTargetForTest(vector_target_);
+TEST(SimdKernelTest, OrAndPopcountDeltaMatchesScalar) {
   for (int id = 0; id < kRandomCases; ++id) {
     KernelCase kc = MakeCase(5000 + id);
     const uint64_t* a = kc.a.data() + kc.offset;
     const uint64_t* b = kc.b.data() + kc.offset;
     const uint64_t* c = kc.c.data() + kc.offset;
-    EXPECT_EQ(simd::ActiveKernels().or_and_popcount_delta(a, b, c, kc.n),
-              simd::ScalarOrAndPopcountDelta(a, b, c, kc.n))
+    EXPECT_EQ(simd::OrAndPopcountDelta(a, b, c, kc.n),
+              OracleOrAndPopcountDelta(a, b, c, kc.n))
         << "case_id=" << 5000 + id;
   }
 }
 
-TEST_F(SimdKernelTest, OrAndBcastStoreDeltaMatchesScalar) {
-  if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
-  simd::SetSimdTargetForTest(vector_target_);
+TEST(SimdKernelTest, OrAndBcastStoreDeltaMatchesScalar) {
   for (int id = 0; id < kRandomCases; ++id) {
     KernelCase kc = MakeCase(6000 + id);
     Rng rng = Rng(kSuiteSeed).Fork(60000 + id);
@@ -186,18 +227,16 @@ TEST_F(SimdKernelTest, OrAndBcastStoreDeltaMatchesScalar) {
     std::vector<uint64_t> out_got(kc.n, 0xAA), out_want(kc.n, 0xAA);
     // Deltas start nonzero to prove the kernel accumulates (+=), not stores.
     std::vector<size_t> d_got(kc.n, 7), d_want(kc.n, 7);
-    simd::ActiveKernels().or_and_bcast_store_delta(a, b, cand, out_got.data(),
-                                                   d_got.data(), kc.n);
-    simd::ScalarOrAndBcastStoreDelta(a, b, cand, out_want.data(),
-                                     d_want.data(), kc.n);
+    simd::OrAndBcastStoreDelta(a, b, cand, out_got.data(), d_got.data(),
+                               kc.n);
+    OracleOrAndBcastStoreDelta(a, b, cand, out_want.data(), d_want.data(),
+                               kc.n);
     EXPECT_EQ(out_got, out_want) << "case_id=" << 6000 + id;
     EXPECT_EQ(d_got, d_want) << "case_id=" << 6000 + id;
   }
 }
 
-TEST_F(SimdKernelTest, AndNotBcastStoreDeltaMatchesScalar) {
-  if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
-  simd::SetSimdTargetForTest(vector_target_);
+TEST(SimdKernelTest, AndNotBcastStoreDeltaMatchesScalar) {
   for (int id = 0; id < kRandomCases; ++id) {
     KernelCase kc = MakeCase(7000 + id);
     Rng rng = Rng(kSuiteSeed).Fork(70000 + id);
@@ -206,16 +245,16 @@ TEST_F(SimdKernelTest, AndNotBcastStoreDeltaMatchesScalar) {
     const uint64_t* b = kc.b.data() + kc.offset;
     std::vector<uint64_t> out_got(kc.n, 0xAA), out_want(kc.n, 0xAA);
     std::vector<size_t> d_got(kc.n, 7), d_want(kc.n, 7);
-    simd::ActiveKernels().and_not_bcast_store_delta(a, b, cand, out_got.data(),
-                                                    d_got.data(), kc.n);
-    simd::ScalarAndNotBcastStoreDelta(a, b, cand, out_want.data(),
-                                      d_want.data(), kc.n);
+    simd::AndNotBcastStoreDelta(a, b, cand, out_got.data(), d_got.data(),
+                                kc.n);
+    OracleAndNotBcastStoreDelta(a, b, cand, out_want.data(), d_want.data(),
+                                kc.n);
     EXPECT_EQ(out_got, out_want) << "case_id=" << 7000 + id;
     EXPECT_EQ(d_got, d_want) << "case_id=" << 7000 + id;
   }
 }
 
-// --- Directed edges (run on whatever target dispatch resolved to) --------
+// --- Directed edges ------------------------------------------------------
 
 TEST(SimdKernelDirectedTest, ZeroLengthSpans) {
   std::vector<uint64_t> w = {~uint64_t{0}};
@@ -262,13 +301,13 @@ TEST(SimdKernelDirectedTest, UnalignedHeadAndTail) {
   for (size_t off = 0; off < 8; ++off) {
     std::vector<uint64_t> shifted(buf.begin() + off, buf.begin() + off + kN);
     EXPECT_EQ(simd::SpanPopcount(buf.data() + off, kN),
-              simd::ScalarSpanPopcount(shifted.data(), kN))
+              OracleSpanPopcount(shifted.data(), kN))
         << "offset=" << off;
   }
 }
 
 TEST(SimdKernelDirectedTest, WordBoundaryStraddles) {
-  // Lengths crossing every internal block boundary of the unrolled loops.
+  // Every length from 0 to 70 words.
   for (size_t n = 0; n <= 70; ++n) {
     std::vector<uint64_t> a(n), c(n);
     Rng rng = Rng(kSuiteSeed).Fork(5000 + n);
@@ -277,27 +316,12 @@ TEST(SimdKernelDirectedTest, WordBoundaryStraddles) {
       c[i] = rng.Next() | rng.Next();
     }
     EXPECT_EQ(simd::SpanPopcount(a.data(), n),
-              simd::ScalarSpanPopcount(a.data(), n))
+              OracleSpanPopcount(a.data(), n))
         << "n=" << n;
     EXPECT_EQ(simd::OrAndPopcountDelta(a.data(), c.data(), c.data(), n),
-              simd::ScalarOrAndPopcountDelta(a.data(), c.data(), c.data(), n))
+              OracleOrAndPopcountDelta(a.data(), c.data(), c.data(), n))
         << "n=" << n;
   }
-}
-
-TEST(SimdKernelDirectedTest, TargetIntrospection) {
-  simd::Target t = simd::ActiveTarget();
-  EXPECT_TRUE(simd::TargetSupported(t));
-  EXPECT_STREQ(simd::TargetName(), simd::TargetName(t));
-  EXPECT_TRUE(simd::TargetSupported(simd::Target::kScalar));
-  // Requesting an unsupported target clamps to scalar instead of crashing.
-  simd::Target unsupported = simd::TargetSupported(simd::Target::kAvx2)
-                                 ? simd::Target::kNeon
-                                 : simd::Target::kAvx2;
-  if (!simd::TargetSupported(unsupported)) {
-    EXPECT_EQ(simd::SetSimdTargetForTest(unsupported), simd::Target::kScalar);
-  }
-  simd::SetSimdTargetForTest(t);  // restore
 }
 
 // --- EvalArena ------------------------------------------------------------
@@ -342,6 +366,36 @@ TEST(EvalArenaTest, BackstopGrowPreservesLivePrefix) {
   b[0] = 1;
   uint64_t* base = reinterpret_cast<uint64_t*>(b) - 8;
   for (size_t i = 0; i < 8; ++i) EXPECT_EQ(base[i], 100 + i);
+}
+
+TEST(EvalArenaTest, LevelSetWorstCaseReserveCoversEveryAlloc) {
+  // Identical all-ones vectors drive one evaluation to the worst case of
+  // its arena bound: every candidate word matches a full-height column and
+  // every level row is gathered. An undersized BuildPlan reservation makes EvaluateAdd*'s
+  // backstop Grow free the block earlier spans point into (caught by
+  // ASan), and the fresh scratch starts with no slack to hide it.
+  constexpr size_t kWords = 200;
+  constexpr size_t kEpochs = kWords * 64;
+  std::vector<uint32_t> idx(kWords);
+  for (size_t i = 0; i < kWords; ++i) idx[i] = static_cast<uint32_t>(i);
+  auto ones = [&](TenantId id) {
+    return ActivityVector::FromWords(id, kEpochs, idx,
+                                     std::vector<uint64_t>(kWords, ~0ULL));
+  };
+  GroupLevelSet group(kEpochs);
+  for (TenantId t = 0; t < 4; ++t) group.Add(ones(t));
+  ActivityVector cand = ones(4);
+  const std::vector<size_t> want(5, kEpochs);  // every epoch at levels 1..5
+  EXPECT_EQ(group.EvaluateAdd(cand), want);
+
+  GroupLevelSet::EvalScratch into;
+  group.EvaluateAddInto(cand, &into);
+  EXPECT_EQ(into.pops, want);
+
+  // An equal incumbent never prunes, so the compare path gathers every row.
+  GroupLevelSet::EvalScratch compare;
+  EXPECT_EQ(group.EvaluateAddCompare(cand, want, &compare), 0);
+  EXPECT_EQ(compare.pops, want);
 }
 
 TEST(EvalArenaTest, MoveTransfersOwnership) {
